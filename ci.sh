@@ -17,6 +17,9 @@ cargo build --workspace --examples --offline
 echo "==> cargo test"
 cargo test --workspace -q --offline
 
+echo "==> benchmark build + self-test (perfbench must keep compiling against the test beds)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-campaign smoke (deterministic)"
 cargo run -q -p neve-cli --offline --bin neve -- faults --smoke
 

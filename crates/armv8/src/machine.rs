@@ -184,6 +184,9 @@ pub struct Machine {
     /// Exactly the complement of `parked`; maintained incrementally so
     /// a loop over it costs nothing per parked core.
     runnable: Vec<usize>,
+    /// Bumped on every change to `runnable` (park, wake, restore), so a
+    /// run loop can cache its round and re-read it only on change.
+    runnable_epoch: u64,
     /// The `(timers, gic)` epoch pair last examined by
     /// [`Machine::service_wakeups`]; an unchanged pair proves no device
     /// mutation since, so the rescan of parked cores is skipped.
@@ -272,6 +275,7 @@ impl Machine {
             wheel: Wheel::new(),
             parked: vec![None; ncpus],
             runnable: (0..ncpus).collect(),
+            runnable_epoch: 0,
             serviced_epochs: (0, 0),
             cfg,
         }
@@ -358,6 +362,7 @@ impl Machine {
         self.wheel.clone_from(&snap.wheel);
         self.parked.clone_from(&snap.parked);
         self.runnable.clone_from(&snap.runnable);
+        self.runnable_epoch += 1;
         self.serviced_epochs = snap.serviced_epochs;
         // Observers are history, and the history just rewound.
         self.trace = None;
@@ -439,6 +444,7 @@ impl Machine {
             self.wheel.post(wake_at, Rank::Timer, cpu);
         }
         self.runnable.retain(|&c| c != cpu);
+        self.runnable_epoch += 1;
         true
     }
 
@@ -446,6 +452,12 @@ impl Machine {
     /// parked, sorted ascending.
     pub fn runnable(&self) -> &[usize] {
         &self.runnable
+    }
+
+    /// Changes whenever [`Machine::runnable`] does: an unchanged value
+    /// proves the set is the same, so a run loop may keep its copy.
+    pub fn runnable_epoch(&self) -> u64 {
+        self.runnable_epoch
     }
 
     /// True while `cpu` is parked (skipped by wheel-driven run loops).
@@ -466,6 +478,7 @@ impl Machine {
         if self.parked[cpu].take().is_some() {
             if let Err(i) = self.runnable.binary_search(&cpu) {
                 self.runnable.insert(i, cpu);
+                self.runnable_epoch += 1;
             }
         }
     }
@@ -505,8 +518,21 @@ impl Machine {
     /// a running core — which churns its own timers and list registers
     /// every trap — costs one cached-u64 compare per parked core, never
     /// a re-poll. Only a change that actually touches a parked core's
-    /// per-CPU epochs reaches `try_unpark`.
+    /// per-CPU epochs reaches `try_unpark`. With no core parked the
+    /// call returns at once: wheel events only ever wake parked cores
+    /// (one left behind by a core that woke some other way is stale
+    /// and dropped whenever it is popped), and every waker records its
+    /// own epochs at park time.
+    #[inline]
     pub fn service_wakeups(&mut self, hyp: &mut dyn Hypervisor) -> bool {
+        if self.runnable.len() == self.parked.len() {
+            return false;
+        }
+        self.service_parked(hyp)
+    }
+
+    /// [`Machine::service_wakeups`] with at least one core parked.
+    fn service_parked(&mut self, hyp: &mut dyn Hypervisor) -> bool {
         let mut woke = false;
         let now = self.counter.cycles();
         while let Some(ev) = self.wheel.pop_due(now) {

@@ -5,7 +5,7 @@
 //! trace --json` use, so the three exports share one schema.
 
 use neve_json::JsonValue;
-use neve_workloads::platforms::{Config, PerOpSer};
+use neve_workloads::platforms::Config;
 use neve_workloads::{apps, provenance};
 use std::fmt::Write as _;
 use std::fs;
@@ -23,28 +23,6 @@ fn main() {
 fn run() -> Result<(), String> {
     fs::create_dir_all("results").map_err(|e| format!("cannot create results/: {e}"))?;
     let m = neve_bench::shared_matrix();
-
-    // Microbenchmark matrix.
-    let per_op = |p: PerOpSer| {
-        JsonValue::Object(vec![
-            ("cycles".into(), JsonValue::from(p.cycles)),
-            ("traps".into(), JsonValue::from(p.traps)),
-        ])
-    };
-    let micro = Config::all()
-        .into_iter()
-        .map(|c| {
-            let costs = m.costs(c);
-            let mut body = vec![
-                ("hypercall".into(), per_op(costs.hypercall)),
-                ("device_io".into(), per_op(costs.device_io)),
-                ("virtual_ipi".into(), per_op(costs.virtual_ipi)),
-                ("virtual_eoi".into(), per_op(costs.virtual_eoi)),
-            ];
-            body.extend(provenance::json_fields(&m.trap_kinds(c), &m.phases(c)));
-            (c.label().to_string(), JsonValue::Object(body))
-        })
-        .collect();
 
     let rows = apps::figure2(&m);
     let figure2 = rows
@@ -64,7 +42,7 @@ fn run() -> Result<(), String> {
         .collect();
 
     let doc = JsonValue::Object(vec![
-        ("micro".into(), JsonValue::Object(micro)),
+        ("micro".into(), provenance::micro_results(&m)),
         ("figure2".into(), JsonValue::Object(figure2)),
     ]);
     let out = doc.pretty();

@@ -656,7 +656,7 @@ fn trace_cmd(p: &args::Parsed) -> Result<(), String> {
         TestBed::new(cfg, bench, iters)
     };
     tb.m.attach_trace(MAX_CAPACITY);
-    let (delta, n) = tb.run_region(iters);
+    let (delta, n) = tb.try_run_region(iters).map_err(|f| f.to_string())?;
     let trace =
         tb.m.trace
             .take()

@@ -93,7 +93,8 @@ pub enum MicroBench {
     /// Idle vCPU woken only by timer interrupts: the payload sits in
     /// `wfi` forever and its vector acknowledges whatever fires. The
     /// consolidation rig's shape — it never halts, so drive it with a
-    /// tick loop ([`TestBed::new_tick`]), not [`TestBed::run`].
+    /// tick hook over [`TestBed::exec`] ([`TestBed::new_tick`]), not
+    /// [`TestBed::run`].
     Idle,
 }
 
@@ -117,6 +118,9 @@ pub struct TestBed {
     pub cfg: ArmConfig,
     bench: MicroBench,
     step_budget: u64,
+    /// Steps per core per round of [`TestBed::exec`], fixed by the
+    /// constructor.
+    burst: Vec<u32>,
 }
 
 /// Iterations dropped as warm-up (lazy Stage-2 faults, shadow fills).
@@ -125,6 +129,12 @@ const WARMUP: u64 = 8;
 /// Default run-loop watchdog: generous for every configuration in the
 /// matrix (the slowest cell retires well under a million steps).
 pub const DEFAULT_STEP_BUDGET: u64 = 80_000_000;
+
+/// Steps the Virtual IPI receiver (cpu 1) takes per sender step, so
+/// delivery latency is not dominated by the interleave ratio. The
+/// lockstep oracles mirror the measured interleave through this
+/// constant.
+pub const IPI_RECEIVER_BURST: u32 = 4;
 
 /// Provenance-ring lines carried in a [`SimFault`] diagnostic snapshot.
 const FAULT_TRACE_LINES: usize = 16;
@@ -189,6 +199,9 @@ impl TestBed {
             cfg,
             bench,
             step_budget: DEFAULT_STEP_BUDGET,
+            burst: (0..ncpus)
+                .map(|cpu| Self::payload_burst(bench, cpu))
+                .collect(),
         }
     }
 
@@ -221,6 +234,13 @@ impl TestBed {
             (MicroBench::VirtualIpi, 1) => base + 0x4000,
             (MicroBench::Idle, _) => base,
             _ => 0,
+        }
+    }
+
+    fn payload_burst(bench: MicroBench, cpu: usize) -> u32 {
+        match (bench, cpu) {
+            (MicroBench::VirtualIpi, 1) => IPI_RECEIVER_BURST,
+            _ => 1,
         }
     }
 
@@ -414,66 +434,104 @@ impl TestBed {
     /// Panics if the payload crashes or stalls (use
     /// [`TestBed::try_run_measured`] for a structured error instead).
     pub fn run(&mut self, iters: u64) -> PerOp {
-        self.run_measured(iters).per_op
-    }
-
-    /// Like [`TestBed::run`] but also reports the trap breakdown of the
-    /// measured region by reason — the Table 7 observability data the
-    /// session layer persists alongside cycle counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload crashes or stalls (use
-    /// [`TestBed::try_run_measured`] for a structured error instead).
-    pub fn run_measured(&mut self, iters: u64) -> Measured {
         self.try_run_measured(iters)
             .unwrap_or_else(|f| panic!("{f}"))
+            .per_op
     }
 
-    /// Fallible [`TestBed::run_measured`]: a crash, stall (step-budget
-    /// exhaustion), or broken measurement protocol comes back as a
-    /// [`SimFault`] with a diagnostic snapshot instead of a panic.
+    /// Runs the benchmark to completion and reports the measured
+    /// region's per-operation averages plus its trap breakdown by
+    /// reason — the Table 7 observability data the session layer
+    /// persists alongside cycle counts.
     ///
     /// # Errors
     ///
-    /// The [`SimFault`] carries pc/EL/phase/steps and the tail of the
-    /// provenance ring when a trace is attached.
+    /// A crash, stall (step-budget exhaustion), or broken measurement
+    /// protocol comes back as a [`SimFault`] carrying pc/EL/phase/steps
+    /// and the tail of the provenance ring when a trace is attached.
     pub fn try_run_measured(&mut self, iters: u64) -> Result<Measured, SimFault> {
         let (delta, n) = self.try_run_region(iters)?;
         Ok(delta.measured(n))
     }
 
-    /// Like [`TestBed::run_measured`] but returns the raw
+    /// Like [`TestBed::try_run_measured`] but returns the raw
     /// measured-region [`Delta`] and iteration count — the trace
     /// command reads the delta's per-phase maps next to the machine's
     /// retained trace ring. When a trace is attached, it is cleared at
     /// the measurement snapshot so the ring covers exactly the measured
     /// region (the bracket-measured EOI benchmark keeps the whole run).
     ///
-    /// # Panics
-    ///
-    /// Panics if the payload crashes or stalls (use
-    /// [`TestBed::try_run_region`] for a structured error instead).
-    pub fn run_region(&mut self, iters: u64) -> (Delta, u64) {
-        self.try_run_region(iters).unwrap_or_else(|f| panic!("{f}"))
-    }
-
-    /// Fallible [`TestBed::run_region`] under the step-budget watchdog.
+    /// Both measurements are hooks over [`TestBed::exec`]: a warm-up
+    /// snapshot taken when the payload's iteration counter drops to
+    /// `iters`, or — for Virtual EOI — a bracket around every
+    /// `msr ICC_EOIR1_EL1`, excluding the re-arm hypercall between
+    /// iterations as kvm-unit-tests raises the interrupt outside the
+    /// timed region.
     ///
     /// # Errors
     ///
     /// A [`SimFault`] describing the crash, stall, or measurement
     /// shortfall.
     pub fn try_run_region(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        // Run boundaries are the only place the cost model may have
-        // been reconfigured; revalidate the flat table once here so
-        // the per-step fast path never has to.
-        self.m.refresh_cost_table();
-        match self.bench {
-            MicroBench::VirtualEoi => self.run_eoi(iters),
-            MicroBench::VirtualIpi => self.run_ipi(iters),
-            _ => self.run_simple(iters),
+        if self.bench == MicroBench::VirtualEoi {
+            let mut measured = Delta::default();
+            let mut done = 0u64;
+            let mut open = None;
+            let steps = self.exec(|tb| {
+                // Close the bracket the previous round's step completed.
+                if let Some(snap) = open.take() {
+                    done += 1;
+                    if done > WARMUP {
+                        measured.accumulate(&tb.m.counter.delta_since(&snap));
+                    }
+                }
+                if tb.m.core(0).halted.is_some() {
+                    return true;
+                }
+                let pc = tb.m.core(0).pc;
+                if matches!(
+                    tb.m.peek(pc),
+                    Some(Instr::Msr(
+                        neve_sysreg::RegId::Plain(SysReg::IccEoir1El1),
+                        _
+                    ))
+                ) {
+                    open = Some(tb.m.counter.snapshot());
+                }
+                false
+            })?;
+            // Both guards matter under fault injection: enough pairs for
+            // the requested per-op figure, and at least one pair past the
+            // warm-up so the division below is meaningful (`done - WARMUP`
+            // must not underflow).
+            if done < iters || done <= WARMUP {
+                return Err(self.fault(
+                    FaultCause::EoiShortfall {
+                        expected: iters,
+                        seen: done,
+                    },
+                    steps,
+                ));
+            }
+            return Ok((measured, done - WARMUP));
         }
+        let mut snap = None;
+        let steps = self.exec(|tb| {
+            if tb.m.core(0).halted.is_some() {
+                return true;
+            }
+            if snap.is_none() && tb.payload_counter() == iters {
+                snap = Some(tb.m.counter.snapshot());
+                if let Some(t) = &mut tb.m.trace {
+                    t.clear();
+                }
+            }
+            false
+        })?;
+        let Some(snap) = snap else {
+            return Err(self.fault(FaultCause::MissedSnapshot, steps));
+        };
+        Ok((self.m.counter.delta_since(&snap), iters))
     }
 
     /// Builds a [`SimFault`] with the cpu0 diagnostic snapshot.
@@ -498,56 +556,6 @@ impl TestBed {
         }
     }
 
-    /// Single-CPU benchmarks: run until the payload halts, snapshotting
-    /// after the warm-up iterations.
-    fn run_simple(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        // Warm-up: run until the iteration counter (x10 at L1/L2)
-        // drops to `iters`.
-        let budget = self.step_budget;
-        let mut snap = None;
-        let mut steps: u64 = 0;
-        loop {
-            let out = self.m.step(&mut self.hyp, 0);
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            match out {
-                StepOutcome::Executed => {}
-                StepOutcome::Halted(code) if code == guests::DONE => break,
-                StepOutcome::Halted(code) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
-                }
-                StepOutcome::Wfi => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: "unexpected wfi".into(),
-                        },
-                        steps,
-                    ));
-                }
-                StepOutcome::FetchFailure(pc) => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("fetch failure at {pc:#x}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-            if snap.is_none() && self.payload_counter() == iters {
-                snap = Some(self.m.counter.snapshot());
-                if let Some(t) = &mut self.m.trace {
-                    t.clear();
-                }
-            }
-        }
-        let Some(snap) = snap else {
-            return Err(self.fault(FaultCause::MissedSnapshot, steps));
-        };
-        Ok((self.m.counter.delta_since(&snap), iters))
-    }
-
     /// The payload's remaining-iterations counter (x10), regardless of
     /// which context currently owns the hardware.
     fn payload_counter(&self) -> u64 {
@@ -562,144 +570,6 @@ impl TestBed {
                     .read_u64(save + crate::guesthyp::slots::GPRS + 8 * 10)
             }
         }
-    }
-
-    /// The IPI benchmark: interleave both CPUs.
-    fn run_ipi(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        let budget = self.step_budget;
-        let mut snap = None;
-        let mut steps: u64 = 0;
-        loop {
-            let out0 = self.m.step(&mut self.hyp, 0);
-            // A wake-up the sender's step made deliverable (its SGI
-            // bumps the GIC epoch) unparks the receiver before the
-            // burst decides whether to skip it.
-            self.m.service_wakeups(&mut self.hyp);
-            // The receiver gets a burst of steps so delivery latency is
-            // not dominated by the interleave ratio. A receiver that
-            // went to WFI parks instead of burning the burst polling
-            // it (the benchmark's own receiver spins and never takes
-            // this path; fault-injected or replayed variants do).
-            for _ in 0..4 {
-                if self.m.is_parked(1) {
-                    break;
-                }
-                let r = self.m.step(&mut self.hyp, 1);
-                if r == StepOutcome::Wfi {
-                    self.m.park(&mut self.hyp, 1);
-                    continue;
-                }
-                if !matches!(r, StepOutcome::Executed | StepOutcome::Wfi) {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("receiver stopped: {r:?}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            match out0 {
-                StepOutcome::Executed | StepOutcome::Wfi => {}
-                StepOutcome::Halted(code) if code == guests::DONE => break,
-                StepOutcome::Halted(code) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
-                }
-                StepOutcome::FetchFailure(pc) => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("fetch failure at {pc:#x}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-            if snap.is_none() && self.payload_counter() == iters {
-                snap = Some(self.m.counter.snapshot());
-                if let Some(t) = &mut self.m.trace {
-                    t.clear();
-                }
-            }
-        }
-        let Some(snap) = snap else {
-            return Err(self.fault(FaultCause::MissedSnapshot, steps));
-        };
-        Ok((self.m.counter.delta_since(&snap), iters))
-    }
-
-    /// The EOI benchmark measures only the acknowledge + complete pair;
-    /// the re-arm hypercall between iterations is excluded, as in
-    /// kvm-unit-tests where the interrupt is raised outside the timed
-    /// region.
-    fn run_eoi(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        let budget = self.step_budget;
-        let mut measured = Delta::default();
-        let mut done = 0u64;
-        let mut steps: u64 = 0;
-        let mut measuring_snap = None;
-        loop {
-            // Peek at the next instruction to bracket the measured
-            // region: [Mrs IAR .. Msr EOIR].
-            let pc = self.m.core(0).pc;
-            let at_eoir = matches!(
-                self.fetch_at(pc),
-                Some(Instr::Msr(
-                    neve_sysreg::RegId::Plain(SysReg::IccEoir1El1),
-                    _
-                ))
-            );
-            if at_eoir {
-                measuring_snap = Some(self.m.counter.snapshot());
-            }
-            let out = self.m.step(&mut self.hyp, 0);
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            if let Some(snapped) = measuring_snap.take() {
-                let d = self.m.counter.delta_since(&snapped);
-                done += 1;
-                if done > WARMUP {
-                    measured.accumulate(&d);
-                }
-            }
-            match out {
-                StepOutcome::Executed => {}
-                StepOutcome::Halted(code) if code == guests::DONE => break,
-                StepOutcome::Halted(code) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
-                }
-                other => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("unexpected {other:?}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-        }
-        // Both guards matter under fault injection: enough pairs for
-        // the requested per-op figure, and at least one pair past the
-        // warm-up so the division below is meaningful (`done - WARMUP`
-        // must not underflow).
-        if done < iters || done <= WARMUP {
-            return Err(self.fault(
-                FaultCause::EoiShortfall {
-                    expected: iters,
-                    seen: done,
-                },
-                steps,
-            ));
-        }
-        Ok((measured, done - WARMUP))
-    }
-
-    fn fetch_at(&self, pc: u64) -> Option<Instr> {
-        self.m.peek(pc)
     }
 
     // ------------------------------------------------------------------
@@ -768,6 +638,8 @@ impl TestBed {
             cfg: ArmConfig::Vm,
             bench,
             step_budget: DEFAULT_STEP_BUDGET,
+            // The storm's receiver waits in WFI, so it needs no burst.
+            burst: vec![1; vcpus],
         }
     }
 
@@ -782,9 +654,8 @@ impl TestBed {
     /// world-switch roster, so a rig-armed deadline survives VM
     /// entry/exit — unlike the EL1 virtual timer, which the guest
     /// hypervisor's switch code save/restores. The payloads never
-    /// halt: drive the bed with a tick loop over
-    /// [`Machine::step`]/[`Machine::park`]/[`Machine::advance_to_wake`],
-    /// not [`TestBed::run`].
+    /// halt: drive the bed with [`TestBed::exec`] and a hook that
+    /// re-arms the tick, not [`TestBed::run`].
     pub fn new_tick(cfg: ArmConfig, vcpus: usize) -> Self {
         assert!(vcpus >= 1, "a consolidation stack needs at least one vCPU");
         let bench = MicroBench::Idle;
@@ -820,75 +691,122 @@ impl TestBed {
             cfg,
             bench,
             step_budget: DEFAULT_STEP_BUDGET,
+            burst: vec![1; vcpus],
         }
     }
 
-    /// Wheel-driven run loop: steps only the runnable set, parks cores
-    /// that hit WFI, services wake-ups after every step, and — when
-    /// every live core is parked — jumps the clock to the next pending
-    /// event instead of polling. A parked core costs zero host steps.
+    /// The wheel-driven run loop with a machine-only stop predicate:
+    /// [`TestBed::exec`] for callers that only observe.
     ///
-    /// Runs until `stop` returns true (checked between rounds), a core
-    /// crashes, or the step budget runs out. Cores that halt with
-    /// [`guests::DONE`] drop out of the round quietly. Returns the
-    /// number of host steps retired — the denominator of the big-SMP
-    /// throughput scenarios.
+    /// # Errors
+    ///
+    /// As [`TestBed::exec`].
+    pub fn try_run_wheel<F>(&mut self, mut stop: F) -> Result<u64, SimFault>
+    where
+        F: FnMut(&Machine) -> bool,
+    {
+        self.exec(|tb| stop(&tb.m))
+    }
+
+    /// The test bed's one stepping loop; every run method is a hook
+    /// over it.
+    ///
+    /// Each round first calls `hook`, which may take measurement
+    /// snapshots or re-arm timers and ends the run by returning true.
+    /// The round then steps every runnable core in ascending order, a
+    /// burst of steps each: [`IPI_RECEIVER_BURST`] for the Virtual IPI
+    /// receiver, one otherwise. A core that hits WFI parks (a parked
+    /// core costs zero host steps) and one that halts with
+    /// [`guests::DONE`] drops out quietly; wake-ups are serviced after
+    /// every step. When no core can step, the clock jumps to the next
+    /// pending event instead of polling. Every step retired on any core
+    /// counts against the step budget.
+    ///
+    /// Returns the number of host steps retired — the denominator of
+    /// the big-SMP throughput scenarios.
     ///
     /// # Errors
     ///
     /// A [`SimFault`] for a payload crash, fetch failure, budget
     /// exhaustion, or a full-machine sleep with no event armed.
-    pub fn try_run_wheel<F>(&mut self, mut stop: F) -> Result<u64, SimFault>
+    pub fn exec<F>(&mut self, mut hook: F) -> Result<u64, SimFault>
     where
-        F: FnMut(&Machine) -> bool,
+        F: FnMut(&mut TestBed) -> bool,
     {
+        // Run boundaries are the only place the cost model may have
+        // been reconfigured; revalidate the flat table once here so
+        // the per-step fast path never has to.
         self.m.refresh_cost_table();
         let budget = self.step_budget;
-        let mut halted = vec![false; self.m.ncpus()];
         let mut steps: u64 = 0;
+        // The round: one slot per step, a core's burst as consecutive
+        // slots, for every runnable core that has not halted as the
+        // round starts (a core woken during a round first steps in the
+        // next). Re-read only when the runnable set changed or a core
+        // halted.
         let mut round: Vec<usize> = Vec::new();
+        let mut round_epoch = None;
         loop {
-            if stop(&self.m) {
+            if hook(self) {
                 return Ok(steps);
             }
-            round.clear();
-            round.extend(self.m.runnable().iter().copied().filter(|&c| !halted[c]));
-            if round.is_empty() {
-                // Every live core is parked: leap to the next event.
-                if !self.m.advance_to_wake(&mut self.hyp) {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: "no runnable core and no pending event".into(),
-                        },
-                        steps,
-                    ));
+            if round_epoch != Some(self.m.runnable_epoch()) {
+                round_epoch = Some(self.m.runnable_epoch());
+                round.clear();
+                for &cpu in self.m.runnable() {
+                    if self.m.core(cpu).halted.is_none() {
+                        round.extend((0..self.burst[cpu]).map(|_| cpu));
+                    }
                 }
-                continue;
             }
+            // A core that parks or halts forfeits the rest of its burst.
+            let mut stopped = usize::MAX;
             for &cpu in &round {
-                match self.m.step(&mut self.hyp, cpu) {
-                    StepOutcome::Executed => {}
-                    StepOutcome::Wfi => {
-                        self.m.park(&mut self.hyp, cpu);
-                    }
-                    StepOutcome::Halted(code) if code == guests::DONE => halted[cpu] = true,
-                    StepOutcome::Halted(code) => {
-                        return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
-                    }
-                    StepOutcome::FetchFailure(pc) => {
-                        return Err(self.fault(
-                            FaultCause::UnexpectedStop {
-                                detail: format!("fetch failure at {pc:#x}"),
-                            },
-                            steps,
-                        ));
-                    }
+                if cpu == stopped {
+                    continue;
                 }
+                let out = self.m.step(&mut self.hyp, cpu);
                 steps += 1;
                 if steps >= budget {
                     return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
                 }
+                // Every other outcome is classified here, once for every
+                // run method.
+                if out != StepOutcome::Executed {
+                    match out {
+                        StepOutcome::Executed => {}
+                        StepOutcome::Wfi => {
+                            self.m.park(&mut self.hyp, cpu);
+                        }
+                        StepOutcome::Halted(code) if code == guests::DONE => round_epoch = None,
+                        StepOutcome::Halted(code) => {
+                            return Err(self.fault(FaultCause::PayloadCrash { code }, steps));
+                        }
+                        StepOutcome::FetchFailure(pc) => {
+                            return Err(self.fault(
+                                FaultCause::UnexpectedStop {
+                                    detail: format!("fetch failure at {pc:#x}"),
+                                },
+                                steps,
+                            ));
+                        }
+                    }
+                }
                 self.m.service_wakeups(&mut self.hyp);
+                if out != StepOutcome::Executed
+                    && (self.m.is_parked(cpu) || self.m.core(cpu).halted.is_some())
+                {
+                    stopped = cpu;
+                }
+            }
+            // Every live core is parked: leap to the next event.
+            if round.is_empty() && !self.m.advance_to_wake(&mut self.hyp) {
+                return Err(self.fault(
+                    FaultCause::UnexpectedStop {
+                        detail: "no runnable core and no pending event".into(),
+                    },
+                    steps,
+                ));
             }
         }
     }

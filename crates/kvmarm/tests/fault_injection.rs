@@ -4,6 +4,7 @@
 //! never an unbounded loop.
 
 use neve_armv8::FaultPlan;
+use neve_cycles::FaultCause;
 use neve_kvmarm::{ArmConfig, MicroBench, ParaMode, TestBed};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,4 +69,31 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+}
+
+/// The step budget bounds every retired step on every core: the IPI
+/// receiver's burst steps count too, so a stalled two-CPU cell stops
+/// at its budget instead of retiring up to five times that.
+#[test]
+fn ipi_budget_counts_receiver_steps() {
+    let budget = 5_000;
+    let mut tb = TestBed::new(
+        ArmConfig::Nested {
+            guest_vhe: false,
+            neve: true,
+            para: ParaMode::None,
+        },
+        MicroBench::VirtualIpi,
+        8,
+    );
+    tb.set_step_budget(budget);
+    let fault = tb
+        .try_run_measured(8)
+        .expect_err("budget too small to finish");
+    assert_eq!(fault.cause, FaultCause::StepBudgetExhausted { budget });
+    assert!(
+        tb.m.steps_retired() <= budget,
+        "retired {} steps under a budget of {budget}",
+        tb.m.steps_retired()
+    );
 }

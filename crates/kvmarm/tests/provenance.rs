@@ -24,7 +24,7 @@ const NEVE: ArmConfig = ArmConfig::Nested {
 fn ring_evicts_under_a_full_nested_run() {
     let mut tb = TestBed::new(V83, MicroBench::Hypercall, 8);
     tb.m.attach_trace(16);
-    let (delta, _) = tb.run_region(8);
+    let (delta, _) = tb.try_run_region(8).expect("measured run");
     assert!(delta.traps > 0);
     let t = tb.m.trace.as_ref().expect("attached");
     // A nested hypercall run emits far more events than a 16-slot ring
@@ -44,7 +44,7 @@ fn trace_trap_events_match_the_counter_per_kind() {
     // Big enough to retain the whole measured region (the testbed
     // clears the ring at the measurement snapshot).
     tb.m.attach_trace(1 << 16);
-    let (delta, _) = tb.run_region(8);
+    let (delta, _) = tb.try_run_region(8).expect("measured run");
 
     let t = tb.m.trace.as_ref().expect("attached");
     assert!(
@@ -82,7 +82,7 @@ fn trace_trap_events_match_the_counter_per_kind() {
 fn phases_partition_the_measured_region() {
     let mut tb = TestBed::new(V83, MicroBench::Hypercall, 8);
     tb.m.attach_trace(1 << 16);
-    let (delta, _) = tb.run_region(8);
+    let (delta, _) = tb.try_run_region(8).expect("measured run");
 
     let phase_cycles: u64 = delta.cycles_by_phase.values().sum();
     assert_eq!(phase_cycles, delta.cycles, "cycles leak out of the phases");
@@ -117,7 +117,7 @@ fn phases_partition_the_measured_region() {
 fn neve_records_deferrals_instead_of_traps() {
     let mut tb = TestBed::new(NEVE, MicroBench::Hypercall, 8);
     tb.m.attach_trace(1 << 16);
-    let (delta, _) = tb.run_region(8);
+    let (delta, _) = tb.try_run_region(8).expect("measured run");
     let t = tb.m.trace.as_ref().expect("attached");
     let deferrals = t
         .events()

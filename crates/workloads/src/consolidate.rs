@@ -37,7 +37,6 @@
 use crate::cache;
 use neve_cycles::Phase;
 use neve_json::JsonValue;
-use neve_kvmarm::testbed::DEFAULT_STEP_BUDGET;
 use neve_kvmarm::{ArmConfig, ParaMode, TestBed};
 use neve_sysreg::SysReg;
 use neve_vtimer::PPI_HPTIMER;
@@ -157,9 +156,7 @@ fn measure_row(
     cfg: ArmConfig,
     spec: ConsolidateSpec,
 ) -> Result<ConsolidateRow, String> {
-    use neve_armv8::machine::StepOutcome;
     let mut tb = TestBed::new_tick(cfg, spec.vcpus);
-    tb.m.refresh_cost_table();
     let ncpus = spec.vcpus;
     let target = spec.warmup_ticks + spec.measured_ticks;
 
@@ -179,61 +176,36 @@ fn measure_row(
     let busy = |tb: &TestBed| tb.m.counter.cycles() - tb.m.counter.cycles_in(Phase::Idle);
     let mut ticks = vec![0u64; ncpus];
     let mut window: Option<(u64, u64)> = None; // (busy, ticks) at warm-up boundary
-    let mut steps: u64 = 0;
-    let budget = DEFAULT_STEP_BUDGET;
-    loop {
-        // Re-arm every expired deadline *before* stepping anything:
-        // the timer is level-triggered, so an expired cval left armed
-        // re-delivers the same tick on every interrupt poll. A cpu
-        // that has taken all its ticks gets its timer disabled
-        // instead, so the run drains.
-        let now = tb.m.counter.cycles();
-        for cpu in 0..ncpus {
-            if ticks[cpu] < target && now >= deadline[cpu] {
-                ticks[cpu] += 1;
-                if ticks[cpu] == target {
-                    tb.m.timers.write(cpu, SysReg::CnthpCtlEl2, 0);
-                } else {
-                    deadline[cpu] += TICK_PERIOD;
-                    tb.m.timers.write(cpu, SysReg::CnthpCvalEl2, deadline[cpu]);
+    let steps = tb
+        .exec(|tb| {
+            // Re-arm every expired deadline *before* stepping anything:
+            // the timer is level-triggered, so an expired cval left armed
+            // re-delivers the same tick on every interrupt poll. A cpu
+            // that has taken all its ticks gets its timer disabled
+            // instead, so the run drains.
+            let now = tb.m.counter.cycles();
+            for cpu in 0..ncpus {
+                if ticks[cpu] < target && now >= deadline[cpu] {
+                    ticks[cpu] += 1;
+                    if ticks[cpu] == target {
+                        tb.m.timers.write(cpu, SysReg::CnthpCtlEl2, 0);
+                    } else {
+                        deadline[cpu] += TICK_PERIOD;
+                        tb.m.timers.write(cpu, SysReg::CnthpCvalEl2, deadline[cpu]);
+                    }
                 }
             }
-        }
-        let round: Vec<usize> = tb.m.runnable().to_vec();
-        if round.is_empty() {
+            if !tb.m.runnable().is_empty() {
+                return false;
+            }
             // Quiescent: every core is parked, all delivered ticks
             // fully processed — the only honest window boundary.
             if window.is_none() && ticks.iter().all(|&t| t >= spec.warmup_ticks) {
-                window = Some((busy(&tb), ticks.iter().sum()));
+                window = Some((busy(tb), ticks.iter().sum()));
             }
-            if ticks.iter().all(|&t| t >= target) {
-                break;
-            }
-            if !tb.m.advance_to_wake(&mut tb.hyp) {
-                return Err(format!("{label}: no runnable core and no pending event"));
-            }
-            continue;
-        }
-        for cpu in round {
-            match tb.m.step(&mut tb.hyp, cpu) {
-                StepOutcome::Executed => {}
-                StepOutcome::Wfi => {
-                    tb.m.park(&mut tb.hyp, cpu);
-                }
-                StepOutcome::Halted(code) => {
-                    return Err(format!("{label}: payload halted unexpectedly ({code:#x})"));
-                }
-                StepOutcome::FetchFailure(pc) => {
-                    return Err(format!("{label}: fetch failure at {pc:#x}"));
-                }
-            }
-            steps += 1;
-            if steps >= budget {
-                return Err(format!("{label}: step budget exhausted ({budget})"));
-            }
-            tb.m.service_wakeups(&mut tb.hyp);
-        }
-    }
+            ticks.iter().all(|&t| t >= target)
+        })
+        .map_err(|f| format!("{label}: {}", f.describe()))?;
     let Some((busy0, ticks0)) = window else {
         return Err(format!("{label}: warm-up window never closed"));
     };

@@ -56,8 +56,7 @@ pub use faults::{run_campaign, CampaignReport, CampaignSpec, Verdict};
 pub use fuzz::{run_fuzz, FuzzReport, FuzzSpec, CORPUS_DIR};
 pub use jobs::{parse_request, CellKey, CellOutcome, CellWork, Command, JobKind, JobRequest};
 pub use oracle::{
-    diff_pair, engine_lockstep, golden_diff, run_checks, trap_algebra, wheel_determinism,
-    OracleReport, PairReport,
+    diff_pair, engine_lockstep, golden_diff, run_checks, trap_algebra, OracleReport, PairReport,
 };
 pub use platforms::{Config, MeasureOpts, MicroCosts, MicroMatrix, PhaseStat};
 pub use replay::{replay_vs_model, Mix, ReplayResult};

@@ -39,6 +39,7 @@
 use crate::platforms::{Config, MicroMatrix};
 use crate::tables;
 use neve_armv8::Engine;
+use neve_kvmarm::testbed::IPI_RECEIVER_BURST;
 use neve_kvmarm::{layout, rosters, ArmConfig, MicroBench, ParaMode, TestBed};
 use std::fmt;
 
@@ -251,7 +252,7 @@ pub fn diff_pair(guest_vhe: bool, bench: MicroBench, iters: u64) -> PairReport {
         if ncpus > 1 {
             // Mirror the measured IPI interleave: the receiver gets a
             // burst of steps per sender step.
-            for _ in 0..4 {
+            for _ in 0..IPI_RECEIVER_BURST {
                 let ra = v83.m.step(&mut v83.hyp, 1);
                 let rb = neve.m.step(&mut neve.hyp, 1);
                 if ra != rb {
@@ -361,7 +362,7 @@ pub fn engine_lockstep(guest_vhe: bool, neve: bool, bench: MicroBench, iters: u6
         let oa = fast.m.step(&mut fast.hyp, 0);
         let ob = oracle.m.step(&mut oracle.hyp, 0);
         if ncpus > 1 {
-            for _ in 0..4 {
+            for _ in 0..IPI_RECEIVER_BURST {
                 let ra = fast.m.step(&mut fast.hyp, 1);
                 let rb = oracle.m.step(&mut oracle.hyp, 1);
                 if ra != rb {
@@ -583,134 +584,6 @@ impl OracleReport {
     }
 }
 
-/// Scheduler-determinism oracle: the discrete-event wheel may change
-/// *when* host work happens, never the simulated numbers.
-///
-/// Three identities, each a bug detector for the wheel:
-///
-/// 1. **Loop equivalence** — a single-core cell driven by the legacy
-///    polling loop and by the wheel loop retires the same steps and
-///    lands on the same simulated cycle count (with one runnable core
-///    the wheel must degenerate to the old loop exactly).
-/// 2. **Repeat-run bit-identity** — a multi-core wheel scenario (IPI
-///    storm over parked receivers, exercising park/wake and the
-///    tie-break order) produces identical step and cycle totals on a
-///    rebuilt testbed.
-/// 3. **Fan-out byte-identity** — the consolidation table renders
-///    byte-identically from a serial run and a striped `--jobs` run.
-pub fn wheel_determinism(smoke: bool) -> Vec<String> {
-    use neve_armv8::machine::StepOutcome;
-    use neve_kvmarm::guests;
-    let mut violations = Vec::new();
-
-    let cells: &[(&str, ArmConfig)] = if smoke {
-        &[(
-            "v8.3",
-            ArmConfig::Nested {
-                guest_vhe: false,
-                neve: false,
-                para: ParaMode::None,
-            },
-        )]
-    } else {
-        &[
-            (
-                "v8.3",
-                ArmConfig::Nested {
-                    guest_vhe: false,
-                    neve: false,
-                    para: ParaMode::None,
-                },
-            ),
-            (
-                "NEVE",
-                ArmConfig::Nested {
-                    guest_vhe: true,
-                    neve: true,
-                    para: ParaMode::None,
-                },
-            ),
-        ]
-    };
-    let iters = if smoke { 4 } else { 8 };
-    for &(label, cfg) in cells {
-        // Legacy polling loop, driven directly.
-        let mut legacy = TestBed::new(cfg, MicroBench::Hypercall, iters);
-        legacy.m.refresh_cost_table();
-        let mut legacy_steps: u64 = 0;
-        loop {
-            legacy_steps += 1;
-            match legacy.m.step(&mut legacy.hyp, 0) {
-                StepOutcome::Executed => {}
-                StepOutcome::Halted(code) if code == guests::DONE => break,
-                other => {
-                    violations.push(format!("{label}: legacy loop stopped on {other:?}"));
-                    return violations;
-                }
-            }
-            if legacy_steps > 10_000_000 {
-                violations.push(format!("{label}: legacy loop never halted"));
-                return violations;
-            }
-        }
-        // The same cell on the wheel.
-        let mut wheel = TestBed::new(cfg, MicroBench::Hypercall, iters);
-        let wheel_steps = match wheel.try_run_wheel(|m| m.core(0).halted == Some(guests::DONE)) {
-            Ok(n) => n,
-            Err(f) => {
-                violations.push(format!("{label}: wheel loop faulted: {f}"));
-                continue;
-            }
-        };
-        if wheel_steps != legacy_steps {
-            violations.push(format!(
-                "{label}: wheel retired {wheel_steps} host steps, legacy loop {legacy_steps}"
-            ));
-        }
-        if wheel.m.counter.cycles() != legacy.m.counter.cycles() {
-            violations.push(format!(
-                "{label}: wheel ended at cycle {}, legacy loop at {} — the \
-                 scheduler changed simulated time",
-                wheel.m.counter.cycles(),
-                legacy.m.counter.cycles()
-            ));
-        }
-    }
-
-    // Park/wake repeatability: same scenario, rebuilt bed, same totals.
-    let storm = |iters| -> Result<(u64, u64), String> {
-        let mut tb = TestBed::new_bigsmp(4, true, iters);
-        let steps = tb
-            .try_run_wheel(|m| m.core(0).halted == Some(guests::DONE))
-            .map_err(|f| f.to_string())?;
-        Ok((steps, tb.m.counter.cycles()))
-    };
-    let storm_iters = if smoke { 16 } else { 64 };
-    match (storm(storm_iters), storm(storm_iters)) {
-        (Ok(a), Ok(b)) if a != b => violations.push(format!(
-            "IPI storm is not repeatable: {a:?} vs {b:?} (steps, cycles)"
-        )),
-        (Err(e), _) | (_, Err(e)) => violations.push(format!("IPI storm faulted: {e}")),
-        _ => {}
-    }
-
-    // Consolidation fan-out: serial and striped runs must render the
-    // same bytes.
-    let spec = crate::consolidate::ConsolidateSpec::smoke();
-    let serial = crate::consolidate::run_consolidate(spec);
-    let fanned = crate::consolidate::run_consolidate(crate::consolidate::ConsolidateSpec {
-        jobs: 3,
-        ..spec
-    });
-    match (serial, fanned) {
-        (Ok(a), Ok(b)) if a.render() != b.render() => violations
-            .push("consolidation table differs between serial and --jobs 3 runs".to_string()),
-        (Err(e), _) | (_, Err(e)) => violations.push(format!("consolidation run failed: {e}")),
-        _ => {}
-    }
-    violations
-}
-
 /// Runs the oracle suite over a measured matrix. `smoke` restricts the
 /// differential grid to one representative pair (the CI gate); the full
 /// run covers both guest-hypervisor flavours across all four
@@ -724,10 +597,6 @@ pub fn run_checks(m: &MicroMatrix, smoke: bool) -> OracleReport {
         CheckResult {
             name: "golden-tables".into(),
             violations: golden_diff(m),
-        },
-        CheckResult {
-            name: "wheel-determinism".into(),
-            violations: wheel_determinism(smoke),
         },
     ];
     let grid: Vec<(bool, MicroBench, u64)> = if smoke {
@@ -888,12 +757,6 @@ mod tests {
         results2.insert(Config::ArmNestedV83, c2);
         let bad2 = golden_diff(&MicroMatrix::from_results(results2));
         assert!(bad2.iter().any(|v| v.contains("Table 7")), "{bad2:?}");
-    }
-
-    #[test]
-    fn wheel_determinism_is_clean() {
-        let v = wheel_determinism(true);
-        assert!(v.is_empty(), "wheel determinism violations: {v:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! records) and the text table the `trace` subcommand and `table7`
 //! print, so the three cannot drift apart.
 
-use crate::platforms::PhaseStat;
+use crate::platforms::{Config, MicroMatrix, PerOpSer, PhaseStat};
 use neve_cycles::Phase;
 use neve_json::JsonValue;
 use std::collections::BTreeMap;
@@ -38,6 +38,33 @@ pub fn json_fields(
         ("trap_kinds".into(), JsonValue::Object(kinds)),
         ("phases".into(), JsonValue::Object(phases)),
     ]
+}
+
+/// The `micro` section of `results/neve_results.json`: per
+/// configuration, the four per-op `{cycles, traps}` figures followed by
+/// the provenance block.
+pub fn micro_results(m: &MicroMatrix) -> JsonValue {
+    let per_op = |p: PerOpSer| {
+        JsonValue::Object(vec![
+            ("cycles".into(), JsonValue::from(p.cycles)),
+            ("traps".into(), JsonValue::from(p.traps)),
+        ])
+    };
+    let configs = Config::all()
+        .into_iter()
+        .map(|c| {
+            let costs = m.costs(c);
+            let mut body = vec![
+                ("hypercall".into(), per_op(costs.hypercall)),
+                ("device_io".into(), per_op(costs.device_io)),
+                ("virtual_ipi".into(), per_op(costs.virtual_ipi)),
+                ("virtual_eoi".into(), per_op(costs.virtual_eoi)),
+            ];
+            body.extend(json_fields(&m.trap_kinds(c), &m.phases(c)));
+            (c.label().to_string(), JsonValue::Object(body))
+        })
+        .collect();
+    JsonValue::Object(configs)
 }
 
 /// Renders the per-phase breakdown as an aligned text table in

@@ -1,7 +1,9 @@
 //! The parallel-evaluation determinism guarantee: fanning the matrix
 //! out across worker threads changes wall-clock time and nothing else.
 
+use neve_json::JsonValue;
 use neve_workloads::platforms::{Config, MicroMatrix};
+use neve_workloads::provenance;
 use std::sync::OnceLock;
 
 /// One serial reference measurement, shared across the tests here (a
@@ -49,4 +51,29 @@ fn consecutive_runs_agree() {
     let a = MicroMatrix::measure_parallel(3);
     let b = MicroMatrix::measure_parallel(3);
     assert_eq!(a, b);
+}
+
+/// The committed `results/neve_results.json`, as `dump_results`
+/// writes it.
+const COMMITTED_RESULTS: &str = include_str!("../../../results/neve_results.json");
+
+#[test]
+fn serial_matrix_reproduces_the_committed_results() {
+    // Every simulated number of the microbenchmark matrix is pinned:
+    // per-op cycles and traps, the trap-kind breakdown and the
+    // per-phase attribution of all 28 cells must match the recorded
+    // export exactly, so a run-loop or scheduler change that moves
+    // simulated time fails here.
+    let committed = neve_json::parse(COMMITTED_RESULTS).expect("results/neve_results.json parses");
+    let recorded = committed.get("micro").expect("a micro section");
+    let measured = provenance::micro_results(serial());
+    for c in Config::all() {
+        assert_eq!(
+            measured.get(c.label()).map(JsonValue::pretty),
+            recorded.get(c.label()).map(JsonValue::pretty),
+            "{} drifted from results/neve_results.json",
+            c.label()
+        );
+    }
+    assert_eq!(measured.pretty(), recorded.pretty());
 }

@@ -56,6 +56,10 @@ const WARMUP: u64 = 8;
 /// Default run-loop watchdog for the x86 side.
 pub const DEFAULT_STEP_BUDGET: u64 = 50_000_000;
 
+/// Steps the Virtual IPI receiver (cpu 1) takes per sender step, as on
+/// the ARM test bed.
+pub const IPI_RECEIVER_BURST: u32 = 4;
+
 /// The assembled x86 stack.
 pub struct X86TestBed {
     /// The machine (the L0 hypervisor is built in).
@@ -221,65 +225,117 @@ impl X86TestBed {
     ///
     /// # Panics
     ///
-    /// Panics if a payload crashes or stalls.
-    pub fn run(&mut self, iters: u64) -> PerOp {
-        self.run_measured(iters).per_op
-    }
-
-    /// Like [`X86TestBed::run`] but also reports the measured region's
-    /// trap breakdown by exit reason (Table 7 observability).
-    ///
-    /// # Panics
-    ///
     /// Panics if a payload crashes or stalls (use
     /// [`X86TestBed::try_run_measured`] for a structured error).
-    pub fn run_measured(&mut self, iters: u64) -> Measured {
+    pub fn run(&mut self, iters: u64) -> PerOp {
         self.try_run_measured(iters)
             .unwrap_or_else(|f| panic!("{f}"))
+            .per_op
     }
 
-    /// Fallible [`X86TestBed::run_measured`] under the step-budget
-    /// watchdog.
+    /// Runs to completion under the step-budget watchdog and reports
+    /// the measured region's per-operation averages plus its trap
+    /// breakdown by exit reason (Table 7 observability). The
+    /// measurement is a hook over the run loop: a warm-up snapshot, or
+    /// for Virtual EOI a bracket around every `ApicEoi`.
     ///
     /// # Errors
     ///
     /// A [`SimFault`] describing the crash, stall, or measurement
     /// shortfall.
     pub fn try_run_measured(&mut self, iters: u64) -> Result<Measured, SimFault> {
+        if self.bench == X86Bench::VirtualEoi {
+            let mut measured = Delta::default();
+            let mut done = 0u64;
+            let mut open = None;
+            let steps = self.exec(|tb| {
+                // Close the bracket the previous round's step completed.
+                if let Some(snap) = open.take() {
+                    done += 1;
+                    if done > WARMUP {
+                        measured.accumulate(&tb.m.counter.delta_since(&snap));
+                    }
+                }
+                if tb.m.core(0).halted.is_some() {
+                    return true;
+                }
+                let rip = tb.m.core(0).rip;
+                if matches!(tb.peek(rip), Some(X86Instr::ApicEoi)) {
+                    open = Some(tb.m.counter.snapshot());
+                }
+                false
+            })?;
+            if done < iters || done <= WARMUP {
+                return Err(self.fault(
+                    FaultCause::EoiShortfall {
+                        expected: iters,
+                        seen: done,
+                    },
+                    steps,
+                ));
+            }
+            return Ok(measured.measured(done - WARMUP));
+        }
+        let mut snap = None;
+        let steps = self.exec(|tb| {
+            if tb.m.core(0).halted.is_some() {
+                return true;
+            }
+            if snap.is_none() && tb.payload_counter() == iters {
+                snap = Some(tb.m.counter.snapshot());
+            }
+            false
+        })?;
+        let Some(snap) = snap else {
+            return Err(self.fault(FaultCause::MissedSnapshot, steps));
+        };
+        Ok(self.m.counter.delta_since(&snap).measured(iters))
+    }
+
+    /// The run loop: calls `hook` before every round (returning true
+    /// ends the run), then steps every core that has not halted, a
+    /// burst of steps each ([`IPI_RECEIVER_BURST`] for the Virtual IPI
+    /// receiver, one otherwise). Every retired step counts against the
+    /// step budget. Returns the steps retired.
+    fn exec<F>(&mut self, mut hook: F) -> Result<u64, SimFault>
+    where
+        F: FnMut(&mut X86TestBed) -> bool,
+    {
         // Revalidate the flat cost table once per run so the per-step
         // fast path never re-matches the model (see the ARM testbed).
         self.m.refresh_cost_table();
-        let (delta, n) = if self.bench == X86Bench::VirtualEoi {
-            self.run_eoi(iters)?
-        } else {
-            self.run_main(iters)?
-        };
-        Ok(delta.measured(n))
-    }
-
-    fn run_main(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
         let budget = self.step_budget;
-        let multi = self.bench == X86Bench::VirtualIpi;
-        let mut snap = None;
         let mut steps = 0u64;
-        // Runnable mask: a receiver that halted cleanly leaves the
-        // round instead of being re-stepped (and re-matched) forever.
-        let mut receiver_done = false;
         loop {
-            let out = self.m.step(0);
-            if multi && !receiver_done {
-                for _ in 0..4 {
-                    let r = self.m.step(1);
-                    match r {
+            if hook(self) {
+                return Ok(steps);
+            }
+            let mut stepped = false;
+            for cpu in 0..self.bench.ncpus() {
+                if self.m.core(cpu).halted.is_some() {
+                    continue;
+                }
+                let burst = match (self.bench, cpu) {
+                    (X86Bench::VirtualIpi, 1) => IPI_RECEIVER_BURST,
+                    _ => 1,
+                };
+                for _ in 0..burst {
+                    let out = self.m.step(cpu);
+                    steps += 1;
+                    stepped = true;
+                    if steps >= budget {
+                        return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
+                    }
+                    match out {
                         X86Step::Executed => {}
-                        X86Step::Halted(c) if c == DONE => {
-                            receiver_done = true;
-                            break;
+                        X86Step::Halted(c) if c == DONE => break,
+                        X86Step::Halted(c) => {
+                            return Err(self.fault(FaultCause::PayloadCrash { code: c }, steps));
                         }
-                        _ => {
+                        X86Step::FetchFailure(rip) => {
                             return Err(self.fault(
                                 FaultCause::UnexpectedStop {
-                                    detail: format!("receiver stopped: {r:?}"),
+                                    detail: format!("fetch failure at {rip:#x}"),
                                 },
                                 steps,
                             ));
@@ -287,33 +343,15 @@ impl X86TestBed {
                     }
                 }
             }
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            match out {
-                X86Step::Executed => {}
-                X86Step::Halted(c) if c == DONE => break,
-                X86Step::Halted(c) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code: c }, steps));
-                }
-                X86Step::FetchFailure(rip) => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("fetch failure at {rip:#x}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-            if snap.is_none() && self.payload_counter() == iters {
-                snap = Some(self.m.counter.snapshot());
+            if !stepped {
+                return Err(self.fault(
+                    FaultCause::UnexpectedStop {
+                        detail: "every core halted".into(),
+                    },
+                    steps,
+                ));
             }
         }
-        let Some(snap) = snap else {
-            return Err(self.fault(FaultCause::MissedSnapshot, steps));
-        };
-        Ok((self.m.counter.delta_since(&snap), iters))
     }
 
     /// The payload's iteration counter (register 10), live or parked.
@@ -324,58 +362,11 @@ impl X86TestBed {
         }
     }
 
-    /// EOI: measure only the `ApicEoi` instruction.
-    fn run_eoi(&mut self, iters: u64) -> Result<(Delta, u64), SimFault> {
-        let budget = self.step_budget;
-        let mut measured = Delta::default();
-        let mut done = 0u64;
-        let mut steps = 0u64;
-        loop {
-            let rip = self.m.core(0).rip;
-            let at_eoi = matches!(self.peek(rip), Some(X86Instr::ApicEoi));
-            let snapped = at_eoi.then(|| self.m.counter.snapshot());
-            let out = self.m.step(0);
-            steps += 1;
-            if steps >= budget {
-                return Err(self.fault(FaultCause::StepBudgetExhausted { budget }, steps));
-            }
-            if let Some(s) = snapped {
-                let d = self.m.counter.delta_since(&s);
-                done += 1;
-                if done > WARMUP {
-                    measured.accumulate(&d);
-                }
-            }
-            match out {
-                X86Step::Executed => {}
-                X86Step::Halted(c) if c == DONE => break,
-                X86Step::Halted(c) => {
-                    return Err(self.fault(FaultCause::PayloadCrash { code: c }, steps));
-                }
-                other => {
-                    return Err(self.fault(
-                        FaultCause::UnexpectedStop {
-                            detail: format!("unexpected {other:?}"),
-                        },
-                        steps,
-                    ));
-                }
-            }
-        }
-        if done < iters || done <= WARMUP {
-            return Err(self.fault(
-                FaultCause::EoiShortfall {
-                    expected: iters,
-                    seen: done,
-                },
-                steps,
-            ));
-        }
-        Ok((measured, done - WARMUP))
-    }
-
     fn peek(&self, _rip: u64) -> Option<X86Instr> {
         // The EOI payload's shape: [MovImm, (ApicEoi, SubImm, Jnz)*].
+        // The guess also matches the closing `Halt(DONE)` at
+        // `PAYLOAD_BASE + 4`, so the bracket counts the halt as one
+        // more EOI; the recorded x86 Virtual EOI figures include it.
         let base = PAYLOAD_BASE;
         if _rip <= base {
             return None;

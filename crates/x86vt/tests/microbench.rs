@@ -82,3 +82,28 @@ fn virtual_ipi_works_at_both_levels() {
     assert!(nested.cycles > vm.cycles);
     assert!(nested.traps > vm.traps);
 }
+
+#[test]
+fn ipi_budget_counts_receiver_steps() {
+    // The receiver's burst steps count against the budget too, so a
+    // two-CPU cell stops at its budget, not at five times it.
+    let budget = 2_000;
+    let mut tb = X86TestBed::new(
+        X86Config::Nested { shadowing: true },
+        X86Bench::VirtualIpi,
+        8,
+    );
+    tb.set_step_budget(budget);
+    let fault = tb
+        .try_run_measured(8)
+        .expect_err("budget too small to finish");
+    assert_eq!(
+        fault.cause,
+        neve_cycles::FaultCause::StepBudgetExhausted { budget }
+    );
+    assert!(
+        tb.m.steps_retired() <= budget,
+        "retired {}",
+        tb.m.steps_retired()
+    );
+}
