@@ -1,6 +1,7 @@
 //! Minimal flag parsing (the workspace's dependency policy rules out an
 //! argument-parsing crate; the grammar here is flat `--key value`).
 
+use neve_workloads::fanout;
 use std::collections::BTreeMap;
 
 /// Parsed invocation: a subcommand, positional operands, and
@@ -70,6 +71,16 @@ impl Parsed {
                 .parse()
                 .map_err(|_| format!("--{key}: `{v}` is not a number")),
         }
+    }
+
+    /// The `--jobs N` worker count (at least 1), defaulting to
+    /// [`fanout::default_jobs`].
+    ///
+    /// # Errors
+    ///
+    /// Reports an unparseable number.
+    pub fn jobs(&self) -> Result<usize, String> {
+        Ok(self.get_u64("jobs", fanout::default_jobs() as u64)?.max(1) as usize)
     }
 
     /// True when a boolean flag was given.

@@ -155,9 +155,9 @@ doubled VNCR write, spurious trap, cycle-counter reset, chaos) is
 injected at deterministic step counts and the outcome is classified as
 detected (structured fault), recovered (bit-identical to the fault-free
 baseline), or mis-measured (completed with silently wrong numbers).
---smoke runs a small grid twice and verifies the reports are
-byte-identical; --fail-fast stops at the first detected fault and
-exits non-zero.
+--smoke runs a small grid twice (the second time with a different
+--jobs) and verifies the reports are byte-identical; --fail-fast stops
+at the first detected fault and exits non-zero.
 
 `neve fuzz` runs the coverage-guided nested-virt fuzzing campaign:
 seeded guest-hypervisor-shaped programs execute from an O(dirty-pages)
@@ -169,9 +169,9 @@ seed a mutation round. Findings are delta-minimized and persisted as
 replayable JSON reproducers under results/fuzz_corpus/;
 `--replay FILE` re-runs one reproducer through the same oracle stack
 and exits non-zero if it no longer re-triggers. --smoke runs a small
-fixed-seed campaign twice and verifies the reports are byte-identical
-(the CI gate). A completed campaign exits zero; the findings *are* the
-product.
+fixed-seed campaign twice (the second time with a different --jobs)
+and verifies the reports are byte-identical (the CI gate). A completed
+campaign exits zero; the findings *are* the product.
 
 `neve check` runs the correctness oracles: ARMv8.3-NV and NEVE stacks
 executed in lockstep with bit-identical architectural state demanded at
@@ -256,10 +256,7 @@ fn micro(p: &args::Parsed) -> Result<(), String> {
 /// cache hit when `results/micro_matrix.json` matches the current cost
 /// model, a parallel re-measurement otherwise.
 fn matrix(p: &args::Parsed) -> Result<MicroMatrix, String> {
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
-    let jobs = p.get_u64("jobs", default_jobs)?.max(1) as usize;
+    let jobs = p.jobs()?;
     let use_cache = !p.has("no-cache");
     let (m, source) = cache::load_or_measure(jobs, use_cache);
     match source {
@@ -417,20 +414,17 @@ fn bench_sim_cmd(p: &args::Parsed) -> Result<(), String> {
 
 /// Runs the deterministic fault-injection campaign (`neve faults`).
 ///
-/// With `--smoke` the (small) campaign is run twice with the same seed
-/// and the two reports are compared byte-for-byte — the CI determinism
-/// gate. `--fail-fast` stops at the first detected fault and exits
-/// non-zero so scripts can bisect. Mis-measured entries are findings
-/// the report exists to surface, not harness failures, so a completed
-/// campaign exits zero.
+/// With `--smoke` the (small) campaign is run twice with the same seed,
+/// the second time with a different `--jobs`, and the two reports are
+/// compared byte-for-byte — the CI determinism gate. `--fail-fast`
+/// stops at the first detected fault and exits non-zero so scripts can
+/// bisect. Mis-measured entries are findings the report exists to
+/// surface, not harness failures, so a completed campaign exits zero.
 fn faults_cmd(p: &args::Parsed) -> Result<(), String> {
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
     let spec = neve_workloads::CampaignSpec {
         seed: p.get_u64("seed", 2017)?,
         smoke: p.has("smoke"),
-        jobs: p.get_u64("jobs", default_jobs)?.max(1) as usize,
+        jobs: p.jobs()?,
         fail_fast: p.has("fail-fast"),
         step_budget: match p.get_u64("budget", 0)? {
             0 => None,
@@ -440,15 +434,18 @@ fn faults_cmd(p: &args::Parsed) -> Result<(), String> {
     let report = neve_workloads::run_campaign(&spec)?;
     print!("{}", report.render());
     if spec.smoke {
-        let again = neve_workloads::run_campaign(&spec)?;
+        let again = neve_workloads::run_campaign(&neve_workloads::CampaignSpec {
+            jobs: if spec.jobs == 1 { 3 } else { 1 },
+            ..spec.clone()
+        })?;
         if again.render() != report.render() {
             return Err(
                 "fault campaign is not deterministic: two runs with the same \
-                        seed produced different reports"
+                        seed (different --jobs) produced different reports"
                     .into(),
             );
         }
-        println!("determinism check: second run is byte-identical");
+        println!("determinism check: second run (different --jobs) is byte-identical");
     }
     if report.truncated {
         return Err("campaign stopped at the first detected fault (--fail-fast)".into());
@@ -470,10 +467,7 @@ fn consolidate_cmd(p: &args::Parsed) -> Result<(), String> {
     } else {
         ConsolidateSpec::full()
     };
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
-    spec.jobs = p.get_u64("jobs", default_jobs)?.max(1) as usize;
+    spec.jobs = p.jobs()?;
     let report = run_consolidate(spec)?;
     if p.has("json") {
         print!("{}", report.to_json());
@@ -516,10 +510,7 @@ fn serve_cmd(p: &args::Parsed) -> Result<(), String> {
     if p.has("smoke") {
         return serve::smoke();
     }
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
-    let jobs = p.get_u64("jobs", default_jobs)?.max(1) as usize;
+    let jobs = p.jobs()?;
     let max_queued = p.get_u64("max-queued", 1024)?.max(1) as usize;
     let fingerprint = neve_cycles::CostModel::default().fingerprint();
     let cache_path =
@@ -544,10 +535,11 @@ fn serve_cmd(p: &args::Parsed) -> Result<(), String> {
 /// one persisted reproducer with `--replay FILE`.
 ///
 /// Mirrors `neve faults`' CI contract: `--smoke` double-runs the
-/// campaign and demands byte-identical reports. A completed campaign
-/// exits zero — findings are the report's product, not harness
-/// failures; a `--replay` that no longer re-triggers exits non-zero
-/// (the reproducer went stale, which CI must notice).
+/// campaign, the second time with a different `--jobs`, and demands
+/// byte-identical reports. A completed campaign exits zero — findings
+/// are the report's product, not harness failures; a `--replay` that no
+/// longer re-triggers exits non-zero (the reproducer went stale, which
+/// CI must notice).
 fn fuzz_cmd(p: &args::Parsed) -> Result<(), String> {
     use neve_workloads::fuzz;
 
@@ -572,29 +564,29 @@ fn fuzz_cmd(p: &args::Parsed) -> Result<(), String> {
     }
 
     let smoke = p.has("smoke");
-    let default_jobs = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
     let spec = fuzz::FuzzSpec {
         seed: p.get_u64("seed", 0x7e1)?,
         cases: p
             .get_u64("cases", if smoke { 24 } else { 96 })?
             .clamp(1, 100_000) as usize,
-        jobs: p.get_u64("jobs", default_jobs)?.max(1) as usize,
+        jobs: p.jobs()?,
         corpus_dir: Some(p.get("corpus-dir", fuzz::CORPUS_DIR).to_string()),
     };
     let report = fuzz::run_fuzz(&spec)?;
     print!("{}", report.render());
     if smoke {
-        let again = fuzz::run_fuzz(&spec)?;
+        let again = fuzz::run_fuzz(&fuzz::FuzzSpec {
+            jobs: if spec.jobs == 1 { 3 } else { 1 },
+            ..spec.clone()
+        })?;
         if again.render() != report.render() {
             return Err(
                 "fuzz campaign is not deterministic: two runs with the same seed \
-                 produced different reports"
+                 (different --jobs) produced different reports"
                     .into(),
             );
         }
-        println!("determinism check: second run is byte-identical");
+        println!("determinism check: second run (different --jobs) is byte-identical");
     }
     Ok(())
 }

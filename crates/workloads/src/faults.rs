@@ -16,9 +16,11 @@
 //!   the baseline: the worst outcome, a silently corrupted result.
 //!
 //! Everything is seeded and deterministic: the same seed produces a
-//! byte-identical report, which `neve faults --smoke` exploits as a CI
-//! gate (run twice, compare bytes).
+//! byte-identical report at any `--jobs`, which `neve faults --smoke`
+//! exploits as a CI gate (run twice at different `--jobs`, compare
+//! bytes).
 
+use crate::fanout;
 use crate::platforms::Config;
 use crate::session::{Bench, CellResult, SimSession};
 use neve_armv8::{FaultPlan, BUILTIN_PLANS};
@@ -237,47 +239,12 @@ fn classify(baseline: &CellResult, injected: CellResult) -> (Verdict, String) {
     }
 }
 
-/// Stripes `keys` over `jobs` workers, running `f` on each; results
-/// come back keyed, so the merge is arrival-order independent. A
-/// worker panic surfaces as a structured error instead of poisoning
-/// the caller.
-fn run_striped<K, F>(keys: &[K], jobs: usize, f: F) -> Result<BTreeMap<usize, CellResult>, String>
-where
-    K: Sync,
-    F: Fn(&K) -> CellResult + Sync,
-{
-    let jobs = jobs.max(1).min(keys.len().max(1));
-    let mut merged = BTreeMap::new();
-    let mut panicked: Option<String> = None;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || {
-                    keys.iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(jobs)
-                        .map(|(i, k)| (i, f(k)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for worker in workers {
-            match worker.join() {
-                Ok(chunk) => merged.extend(chunk),
-                Err(payload) => {
-                    panicked.get_or_insert_with(|| crate::session::panic_message(payload.as_ref()));
-                }
-            }
-        }
-    });
-    if let Some(msg) = panicked {
-        return Err(format!(
-            "campaign worker panicked ({msg}); partial results discarded"
-        ));
-    }
-    Ok(merged)
+/// The fan-out's results in input order, or the first contained panic
+/// (a harness bug, not a finding).
+fn all_ran(runs: Vec<Result<CellResult, String>>) -> Result<Vec<CellResult>, String> {
+    runs.into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|msg| format!("campaign worker panicked ({msg}); partial results discarded"))
 }
 
 /// Runs the full injection campaign described by `spec`.
@@ -291,7 +258,12 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
     let budget = spec.step_budget.unwrap_or(DEFAULT_CAMPAIGN_BUDGET);
 
     // Fault-free baselines, one per cell (the recovery reference).
-    let baselines = run_striped(&cells, spec.jobs, |&(c, b)| run_cell(c, b, None, budget))?;
+    let baselines = all_ran(fanout::map(
+        &cells,
+        spec.jobs,
+        || Ok(()),
+        |_, &(c, b)| run_cell(c, b, None, budget),
+    ))?;
 
     // The injected grid, in deterministic (config, bench, plan) order.
     let mut units: Vec<(usize, &'static str, FaultPlan)> =
@@ -304,42 +276,33 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
         }
     }
 
+    let run_unit = |(cell_idx, _, p): &(usize, &str, FaultPlan)| {
+        let (config, bench) = cells[*cell_idx];
+        run_cell(config, bench, Some(p), budget)
+    };
+    // Fail-fast runs lazily, serially and in order, so "first fault" is
+    // well-defined and nothing after it runs.
+    let outcomes: Box<dyn Iterator<Item = CellResult>> = if spec.fail_fast {
+        Box::new(units.iter().map(run_unit))
+    } else {
+        let runs = fanout::map(&units, spec.jobs, || Ok(()), |_, u| run_unit(u));
+        Box::new(all_ran(runs)?.into_iter())
+    };
     let mut entries = Vec::with_capacity(units.len());
     let mut truncated = false;
-    if spec.fail_fast {
-        // Serial and ordered so "first fault" is well-defined.
-        for (cell_idx, plan, p) in &units {
-            let (config, bench) = cells[*cell_idx];
-            let outcome = run_cell(config, bench, Some(p), budget);
-            let (verdict, detail) = classify(&baselines[cell_idx], outcome);
-            entries.push(CampaignEntry {
-                config,
-                bench,
-                plan,
-                verdict,
-                detail,
-            });
-            if verdict == Verdict::Detected {
-                truncated = true;
-                break;
-            }
-        }
-    } else {
-        let outcomes = run_striped(&units, spec.jobs, |(cell_idx, _, p)| {
-            let (config, bench) = cells[*cell_idx];
-            run_cell(config, bench, Some(p), budget)
-        })?;
-        for (i, outcome) in outcomes {
-            let (cell_idx, plan, _) = &units[i];
-            let (config, bench) = cells[*cell_idx];
-            let (verdict, detail) = classify(&baselines[cell_idx], outcome);
-            entries.push(CampaignEntry {
-                config,
-                bench,
-                plan,
-                verdict,
-                detail,
-            });
+    for ((cell_idx, plan, _), outcome) in units.iter().zip(outcomes) {
+        let (config, bench) = cells[*cell_idx];
+        let (verdict, detail) = classify(&baselines[*cell_idx], outcome);
+        entries.push(CampaignEntry {
+            config,
+            bench,
+            plan,
+            verdict,
+            detail,
+        });
+        if spec.fail_fast && verdict == Verdict::Detected {
+            truncated = true;
+            break;
         }
     }
 
@@ -367,8 +330,16 @@ mod tests {
     #[test]
     fn smoke_campaign_is_deterministic_and_complete() {
         let a = run_campaign(&smoke_spec(2017)).unwrap();
-        let b = run_campaign(&smoke_spec(2017)).unwrap();
-        assert_eq!(a.render(), b.render(), "same seed must replay identically");
+        let b = run_campaign(&CampaignSpec {
+            jobs: 1,
+            ..smoke_spec(2017)
+        })
+        .unwrap();
+        assert_eq!(
+            a.render(),
+            b.render(),
+            "same seed must replay identically at any --jobs"
+        );
         // 2 configs x 2 benches x 3 plans, nothing dropped.
         assert_eq!(a.entries.len(), 12);
         assert!(!a.truncated);

@@ -2,8 +2,12 @@
 //!
 //! - [`session`]: [`SimSession`], the unit of evaluation — one
 //!   (configuration, benchmark) cell owning its testbed from build to
-//!   measured result. Sessions are `Send`, so the matrix fans out
-//!   across worker threads.
+//!   measured result. Sessions share nothing, so each runs on whichever
+//!   worker thread its cell lands on.
+//! - [`fanout`]: the one executor the batch campaigns (the matrix, the
+//!   fault, fuzz and consolidation campaigns) fan out through — striped
+//!   scoped workers, per-worker state, per-item panic containment, and
+//!   results in input order whatever the worker count.
 //! - [`platforms`]: a unified view over the ARM ([`neve_kvmarm`]) and
 //!   x86 ([`neve_x86vt`]) test beds; [`MicroMatrix`] runs every
 //!   microbenchmark on every configuration (serially or in parallel,
@@ -35,6 +39,7 @@
 pub mod apps;
 pub mod cache;
 pub mod consolidate;
+pub mod fanout;
 pub mod faults;
 pub mod fuzz;
 pub mod jobs;
@@ -58,7 +63,7 @@ pub use jobs::{parse_request, CellKey, CellOutcome, CellWork, Command, JobKind, 
 pub use oracle::{
     diff_pair, engine_lockstep, golden_diff, run_checks, trap_algebra, OracleReport, PairReport,
 };
-pub use platforms::{Config, MeasureOpts, MicroCosts, MicroMatrix, PhaseStat};
+pub use platforms::{Config, MicroCosts, MicroMatrix, PhaseStat};
 pub use replay::{replay_vs_model, Mix, ReplayResult};
 pub use serve::{listen, run_protocol, JobEngine, SharedBuf, Sink};
 pub use session::{Bench, CellMeasurement, CellResult, SimSession};

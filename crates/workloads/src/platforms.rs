@@ -1,7 +1,7 @@
 //! Unified access to both simulated platforms.
 
+use crate::fanout;
 use crate::session::{Bench, CellResult, SimSession};
-use neve_armv8::FaultPlan;
 use neve_cycles::counter::PerOp;
 use neve_kvmarm::{ArmConfig, ParaMode};
 use std::collections::BTreeMap;
@@ -135,18 +135,6 @@ pub struct MicroMatrix {
     failures: BTreeMap<Config, BTreeMap<String, String>>,
 }
 
-/// Options for a matrix measurement run (fault-campaign entry point;
-/// the plain table paths use [`MicroMatrix::measure_parallel`]).
-#[derive(Debug, Clone, Default)]
-pub struct MeasureOpts {
-    /// Worker threads (0 and 1 both mean serial).
-    pub jobs: usize,
-    /// Deterministic fault-injection plan, cloned into every ARM cell.
-    pub fault_plan: Option<FaultPlan>,
-    /// Step-budget override for every cell's run-loop watchdog.
-    pub step_budget: Option<u64>,
-}
-
 pub(crate) fn arm_config(c: Config) -> Option<ArmConfig> {
     Some(match c {
         Config::ArmVm => ArmConfig::Vm,
@@ -174,30 +162,16 @@ pub(crate) fn arm_config(c: Config) -> Option<ArmConfig> {
     })
 }
 
-/// Converts one worker bucket's join outcome into cell results. A
-/// worker that panicked outside `SimSession::run`'s own containment
-/// (e.g. in the collection plumbing) must not abort the whole matrix:
-/// every cell the bucket carried degrades to [`CellResult::Failed`]
-/// with the panic message, and the other buckets assemble normally.
-fn joined_bucket(
-    joined: std::thread::Result<Vec<CellResult>>,
-    meta: &[(Config, Bench)],
-) -> Vec<CellResult> {
-    match joined {
-        Ok(cells) => cells,
-        Err(payload) => {
-            let message = crate::session::panic_message(payload.as_ref());
-            meta.iter()
-                .map(|&(config, bench)| CellResult::Failed {
-                    config,
-                    bench,
-                    fault: neve_cycles::SimFault::from_panic(format!(
-                        "evaluation worker panicked: {message}"
-                    )),
-                })
-                .collect()
-        }
-    }
+/// A cell whose run panicked outside `SimSession::run`'s own
+/// containment (e.g. while building its testbed) degrades to
+/// [`CellResult::Failed`] with the panic message instead of aborting
+/// the matrix.
+fn cell_or_failed(config: Config, bench: Bench, run: Result<CellResult, String>) -> CellResult {
+    run.unwrap_or_else(|message| CellResult::Failed {
+        config,
+        bench,
+        fault: neve_cycles::SimFault::from_panic(format!("evaluation worker panicked: {message}")),
+    })
 }
 
 /// Every (configuration, benchmark) cell of the evaluation matrix, in
@@ -225,75 +199,28 @@ impl MicroMatrix {
         )
     }
 
-    /// Runs every cell of the matrix across `jobs` worker threads.
-    ///
-    /// Sessions are built on the calling thread and *moved* into scoped
-    /// workers (each whole testbed crosses a thread boundary — the
-    /// design reason the simulator's types are `Send`). Every cell is
-    /// an independent deterministic simulation, so the result is
+    /// Runs every cell of the matrix on `jobs` worker threads through
+    /// `fanout::map`; each worker builds and runs the sessions of its
+    /// stripe. Every cell is an independent deterministic simulation
+    /// and assembly keys cells by identity, so the result is
     /// bit-identical to [`MicroMatrix::measure`] regardless of `jobs`
-    /// or scheduling.
+    /// or scheduling. A faulted cell degrades to [`CellResult::Failed`]
+    /// and surfaces via [`MicroMatrix::has_failures`].
     pub fn measure_parallel(jobs: usize) -> Self {
-        Self::measure_with(&MeasureOpts {
+        let cells = all_cells();
+        let runs = fanout::map(
+            &cells,
             jobs,
-            ..MeasureOpts::default()
-        })
-    }
-
-    /// Runs every cell with explicit options: worker count, an optional
-    /// fault-injection plan, and an optional step-budget override.
-    /// Faulted cells degrade to [`CellResult::Failed`] and surface via
-    /// [`MicroMatrix::has_failures`]; clean cells measure exactly as
-    /// they would without options (injection off means zero measurement
-    /// perturbation).
-    pub fn measure_with(opts: &MeasureOpts) -> Self {
-        let jobs = opts.jobs.max(1);
-        let sessions: Vec<SimSession> = all_cells()
-            .into_iter()
-            .map(|(c, b)| {
-                let mut s = SimSession::new(c, b);
-                if let Some(plan) = &opts.fault_plan {
-                    s.attach_fault_plan(plan);
-                }
-                if let Some(budget) = opts.step_budget {
-                    s.set_step_budget(budget);
-                }
-                s
-            })
-            .collect();
-
-        // Round-robin the cells over the workers. Cells of one config
-        // land on different workers on purpose: the nested-ARM configs
-        // are far slower than the x86 ones, and striping spreads them.
-        let mut buckets: Vec<Vec<SimSession>> = (0..jobs).map(|_| Vec::new()).collect();
-        for (i, s) in sessions.into_iter().enumerate() {
-            buckets[i % jobs].push(s);
-        }
-
-        let mut cells: Vec<CellResult> = Vec::new();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = buckets
+            || Ok(()),
+            |_, &(c, b)| SimSession::new(c, b).run(),
+        );
+        Self::assemble(
+            cells
                 .into_iter()
-                .map(|bucket| {
-                    // Cell identities survive outside the worker so a
-                    // panicking worker can still report which cells it
-                    // was carrying.
-                    let meta: Vec<(Config, Bench)> =
-                        bucket.iter().map(|s| (s.config(), s.bench())).collect();
-                    let handle = scope.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(SimSession::run)
-                            .collect::<Vec<CellResult>>()
-                    });
-                    (handle, meta)
-                })
-                .collect();
-            for (w, meta) in workers {
-                cells.extend(joined_bucket(w.join(), &meta));
-            }
-        });
-        Self::assemble(cells)
+                .zip(runs)
+                .map(|((c, b), run)| cell_or_failed(c, b, run))
+                .collect(),
+        )
     }
 
     /// Measures every cell serially with an execution trace attached to
@@ -490,41 +417,28 @@ mod tests {
         assert_eq!(Config::ArmVm.vm_baseline(), Config::ArmVm);
     }
 
-    /// The satellite bugfix's regression test: a worker bucket whose
-    /// thread dies with a real panic (not one contained inside
-    /// `SimSession::run`) must surface every carried cell as `Failed`
-    /// with the panic message — never re-raise and abort the matrix.
+    /// A cell whose run panicked outside `SimSession::run` surfaces as
+    /// `Failed` with the panic message, and the matrix still assembles.
     #[test]
-    fn a_panicking_worker_degrades_its_cells_instead_of_aborting() {
-        let meta = [
-            (Config::ArmVm, Bench::Hypercall),
-            (Config::X86Vm, Bench::DeviceIo),
-        ];
-        let joined = std::thread::scope(|scope| {
-            scope
-                .spawn(|| -> Vec<CellResult> { panic!("deliberate worker crash") })
-                .join()
-        });
-        let cells = joined_bucket(joined, &meta);
-        assert_eq!(cells.len(), meta.len());
-        for (cell, &(config, bench)) in cells.iter().zip(&meta) {
-            assert_eq!(cell.config(), config);
-            assert_eq!(cell.bench(), bench);
-            let fault = cell.fault().expect("cell must be Failed");
-            assert!(
-                fault.describe().contains("deliberate worker crash"),
-                "{fault}"
-            );
-        }
-        // And the degraded cells still assemble: zero placeholders plus
-        // failure records, provided the config's other benches exist.
+    fn a_contained_panic_degrades_its_cell_instead_of_aborting() {
+        let run = fanout::contain(|| -> CellResult { panic!("deliberate worker crash") });
+        let cell = cell_or_failed(Config::ArmVm, Bench::Hypercall, run);
+        assert_eq!(cell.config(), Config::ArmVm);
+        assert_eq!(cell.bench(), Bench::Hypercall);
+        let fault = cell.fault().expect("cell must be Failed");
+        assert!(
+            fault.describe().contains("deliberate worker crash"),
+            "{fault}"
+        );
+        // And the degraded cell still assembles: a zero placeholder plus
+        // a failure record, provided the config's other benches exist.
         let mut all: Vec<CellResult> = Vec::new();
         for b in Bench::all() {
             if b != Bench::Hypercall {
                 all.push(SimSession::new(Config::ArmVm, b).run());
             }
         }
-        all.push(cells[0].clone());
+        all.push(cell);
         let m = MicroMatrix::from_cells(all);
         assert!(m.has_failures());
         assert_eq!(m.failed_cells(), 1);

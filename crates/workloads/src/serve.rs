@@ -217,13 +217,8 @@ fn execute(work: &CellWork) -> CellOutcome {
     };
     // The last containment layer: a panic in a cell becomes that
     // cell's structured failure, never a dead worker.
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
-        Ok(outcome) => outcome,
-        Err(payload) => CellOutcome::Error(format!(
-            "cell panicked: {}",
-            crate::session::panic_message(payload.as_ref())
-        )),
-    }
+    crate::fanout::contain(run)
+        .unwrap_or_else(|message| CellOutcome::Error(format!("cell panicked: {message}")))
 }
 
 /// Delivers one finished cell to its waiters under the requests lock

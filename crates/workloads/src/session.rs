@@ -5,12 +5,14 @@
 //! data).
 //!
 //! Sessions are self-contained owned values: every simulated machine
-//! owns its memory, cores and cycle counter outright, so a session is
-//! `Send` and the evaluation matrix can build sessions on one thread
-//! and move them into scoped worker threads. Each cell's result depends
-//! only on its own deterministic simulation, so a parallel evaluation
-//! is bit-identical to a serial one.
+//! owns its memory, cores and cycle counter outright and shares nothing
+//! with any other, so a session is `Send` and the evaluation matrix can
+//! build and run each one on whichever [`fanout`] worker its cell is
+//! striped to. Each cell's result depends only on its own deterministic
+//! simulation, so a parallel evaluation is bit-identical to a serial
+//! one.
 
+use crate::fanout;
 use crate::platforms::{Config, PerOpSer};
 use neve_armv8::{Engine, FaultPlan};
 use neve_cycles::counter::Measured;
@@ -18,22 +20,6 @@ use neve_cycles::SimFault;
 use neve_kvmarm::{MicroBench, TestBed};
 use neve_x86vt::testbed::{X86Bench, X86Config, X86TestBed};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Renders a `catch_unwind`/`JoinHandle::join` panic payload as text.
-/// `panic!` with a literal yields `&str`, with a format string yields
-/// `String`; anything else (a `panic_any` value) is opaque. Shared by
-/// every worker-join site in this crate so a panicking worker always
-/// surfaces its message in the structured error instead of re-raising.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
 
 /// A microbenchmark, platform-neutral (one row of Tables 1/6/7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -294,25 +280,18 @@ impl SimSession {
         let config = self.config;
         let bench = self.bench;
         let iters = self.iters;
-        let outcome = catch_unwind(AssertUnwindSafe(move || match &mut self.bed {
+        let outcome = fanout::contain(move || match &mut self.bed {
             Bed::Arm(tb) => tb.try_run_measured(iters),
             Bed::X86(tb) => tb.try_run_measured(iters),
-        }));
-        let measured = match outcome {
-            Ok(Ok(m)) => m,
-            Ok(Err(fault)) => {
+        });
+        let measured = match outcome.unwrap_or_else(|message| Err(SimFault::from_panic(message))) {
+            Ok(m) => m,
+            Err(fault) => {
                 return CellResult::Failed {
                     config,
                     bench,
                     fault,
                 }
-            }
-            Err(payload) => {
-                return CellResult::Failed {
-                    config,
-                    bench,
-                    fault: SimFault::from_panic(panic_message(payload.as_ref())),
-                };
             }
         };
         let Measured {
@@ -378,8 +357,7 @@ mod tests {
 
     #[test]
     fn sessions_move_across_threads() {
-        // Build on the main thread, run on a worker — the pattern
-        // measure_parallel relies on, exercised directly.
+        // Build on one thread, run on another: sessions are `Send`.
         let s = SimSession::new(Config::X86Vm, Bench::DeviceIo);
         let r = std::thread::scope(|scope| scope.spawn(move || s.run()).join().unwrap());
         assert!(r.expect_measured().per_op.cycles > 0);
